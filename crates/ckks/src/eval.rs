@@ -19,7 +19,7 @@ use crate::context::CkksContext;
 use crate::encoding::Plaintext;
 use crate::keys::SwitchingKey;
 use crate::keyswitch::{
-    hoist_rotations, key_switch, key_switch_galois, key_switch_galois_coalesced,
+    hoist_rotations, key_switch, key_switch_coalesced, key_switch_galois,
     key_switch_galois_hoisted, key_switch_galois_strict, key_switch_strict, HoistedRotations,
     KsJob,
 };
@@ -450,7 +450,7 @@ impl Evaluator {
     /// different tenants, hence per-job keys) that happen to share
     /// geometry — through **one** keyswitch pipeline whose kernel
     /// dispatches carry every job's limb rows at once
-    /// ([`key_switch_galois_coalesced`]). Output `i` is bit-identical
+    /// ([`key_switch_coalesced`]). Output `i` is bit-identical
     /// to `apply_galois(jobs[i].0, g, jobs[i].1)`; the win is batch
     /// width, which is what the threaded backend scales with.
     ///
@@ -480,7 +480,7 @@ impl Evaluator {
             .iter()
             .map(|(a, key)| KsJob { d: &a.c1, key })
             .collect();
-        let switched = key_switch_galois_coalesced(&self.ctx, &ks_jobs, g, level);
+        let switched = key_switch_coalesced(&self.ctx, &ks_jobs, Some(g), level);
         jobs.iter()
             .zip(switched)
             .map(|((a, _), (ks0, ks1))| {
@@ -547,7 +547,8 @@ impl Evaluator {
         OpCounters::bump(&self.counters.keyswitches);
         let mut c0 = a.c0.clone();
         c0.automorphism_lazy(g, self.ctx.galois());
-        let (ks0, ks1) = key_switch_galois_hoisted(&self.ctx, h, g, gk);
+        let mut switched = key_switch_galois_hoisted(&self.ctx, h, &[(g, gk)]);
+        let (ks0, ks1) = switched.pop().expect("one rotation in, one result out");
         c0.add_assign(&ks0);
         Ciphertext {
             c0,

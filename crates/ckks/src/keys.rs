@@ -157,18 +157,27 @@ impl SwitchingKey {
     }
 
     /// Restricts digit `j`'s pair to the extended basis of level `l`
-    /// (residues for `q_0..q_l ++ P`).
+    /// (residues for `q_0..q_l ++ P`), as copies.
     pub fn row_at_level(&self, ctx: &CkksContext, j: usize, l: usize) -> (RnsPoly, RnsPoly) {
-        let max_l = ctx.params().max_level();
         let target = ctx.extended_basis(l).clone();
-        let select = |p: &RnsPoly| {
-            let n = p.n();
-            let mut data = p.flat()[..(l + 1) * n].to_vec();
-            data.extend_from_slice(&p.flat()[(max_l + 1) * n..]);
+        let [b, a] = self.row_runs(ctx, j, l).map(|[q, p]| {
+            let mut data = Vec::with_capacity(q.len() + p.len());
+            data.extend_from_slice(q);
+            data.extend_from_slice(p);
             RnsPoly::from_flat(target.clone(), data, Representation::Eval)
-        };
+        });
+        (b, a)
+    }
+
+    /// Digit `j`'s pair at level `l`, borrowed in place: for each of
+    /// `b` and `a`, its q-limbs `0..=l` and its `P`-limbs — the two
+    /// contiguous runs of the full-basis row that make up the
+    /// level-`l` extended-basis row.
+    pub(crate) fn row_runs(&self, ctx: &CkksContext, j: usize, l: usize) -> [[&[u64]; 2]; 2] {
+        let n = ctx.n();
+        let p_start = (ctx.params().max_level() + 1) * n;
         let (b, a) = &self.rows[j];
-        (select(b), select(a))
+        [b, a].map(|poly| [&poly.flat()[..(l + 1) * n], &poly.flat()[p_start..]])
     }
 
     /// Measured heap bytes of this key: the allocated capacity of every

@@ -9,61 +9,74 @@
 //!    systolic-array matrix multiplications in hardware.
 //! 3. **NTT** the raised digits (the paper's phase-1/phase-2 NTTU + CU
 //!    collaboration for long polynomials).
-//! 4. **Inner product** with the switching key digits (`IP` kernel).
+//! 4. **Inner product** with the switching key digits (`IP` kernel),
+//!    after the Galois slot permutation (`Auto`) for a rotation.
 //! 5. **iNTT**, then **ModDown**: subtract the `P`-part's base conversion
 //!    and multiply by `P^{-1}`.
 //!
+//! # One engine, three call shapes
+//!
+//! Every production keyswitch runs through one batched engine. A batch
+//! is `k` jobs that share ring degree and level; each job brings its
+//! own switching key (keys may differ per tenant) and, optionally, its
+//! own Galois element. Per digit, the engine takes the raised rows from
+//! one of two sources — the batch's inputs, raised in place one digit at
+//! a time, or a shared [`HoistedRotations`] state — and gives every job
+//! its tail: the optional slot permutation, then a lazy multiply-
+//! accumulate against the key's stored rows, borrowed in place. It
+//! finishes with one iNTT, one fold, ModDown and one output NTT over all
+//! `2k` accumulators. The public entry points are its three shapes:
+//!
+//! * **single** — [`key_switch`] and [`key_switch_galois`], `k = 1`;
+//! * **coalesced** — [`key_switch_coalesced`]: `k` raises, `k` tails,
+//!   for `k` inputs sharing one Galois element (or none) under per-job
+//!   keys — how a service layer batches requests across tenants;
+//! * **hoisted** — [`hoist_rotations`] then [`key_switch_galois_hoisted`]:
+//!   one raise, `k` tails with per-job `(g, key)` — how a linear layer
+//!   pays Decompose + ModUp + the digit NTTs once for many rotations
+//!   (FAB reuses the keyswitch front half across rotations the same way
+//!   in hardware).
+//!
+//! Batching only concatenates rows; it never changes a per-row kernel,
+//! so every output is bit-identical to its own `k = 1` call (asserted
+//! by the suite below and `tests/backend_identity.rs`), and a wider
+//! batch widens every [`fhe_math::KernelBackend`] dispatch it goes
+//! through — what [`fhe_math::ThreadedBackend`] scales with.
+//!
 //! # Lazy residue chain
 //!
-//! [`key_switch`] keeps steps 3–5 in the redundant `[0, 2p)` window:
-//! every raised digit is transformed with the lazy-exit NTT, the `IP`
-//! accumulators stay lazy across all `beta` digits, the iNTT exits
-//! lazily, and a *single* canonicalisation per accumulator limb happens
-//! at the ModDown boundary (BConv needs true `[0, p)` representatives —
-//! base conversion depends on the representative, not just the residue
-//! class). That replaces `beta * ext_limbs` NTT exit passes plus
-//! `2 * ext_limbs` MAC/iNTT exit passes with `2 * ext_limbs` folds —
-//! mirroring how Trinity/FAB pipelines keep operands in redundant form
-//! between butterfly and MAC stages and only fully reduce at memory
-//! writeback. [`key_switch_strict`] preserves the fully-canonical
-//! pipeline as the oracle; `tests/lazy_chains.rs` asserts the two are
-//! bit-identical across every workspace modulus shape.
+//! The engine keeps steps 3–5 in the redundant `[0, 2p)` window: digit
+//! NTTs exit lazily, the `IP` accumulators stay lazy across all `beta`
+//! digits, the iNTT exits lazily, and a *single* canonicalisation per
+//! accumulator limb happens at the ModDown boundary (BConv needs true
+//! `[0, p)` representatives — base conversion depends on the
+//! representative, not just the residue class). That mirrors how
+//! Trinity/FAB pipelines keep operands in redundant form between
+//! butterfly and MAC stages and only fully reduce at memory writeback.
 //!
-//! The Galois variants ([`key_switch_galois`] and its per-kernel /
-//! strict tiers) extend the same chain through HRotate: the automorphism
-//! is *hoisted* into the pipeline — applied to the raised digits in
+//! A rotation applies its automorphism to the raised digits in
 //! evaluation form, where it is a pure, reduction-agnostic slot
-//! permutation — so a rotation stays `[0, 2p)` from the digit NTT
-//! through the automorphism and inner product to the ModDown fold,
-//! instead of canonicalising the input at the automorphism first.
+//! permutation, so the chain stays `[0, 2p)` through `Auto` too. The
+//! ordering is sound because `sigma_g` commutes exactly with the
+//! limb-group digit decompose (it acts per limb) and commutes with
+//! ModUp up to the usual approximate-BConv overshoot — a small
+//! polynomial times the digit modulus `Q_j`, which the gadget residues
+//! (`P` on digit-`j` limbs, `0` elsewhere, so `Q_j ≡ 0` wherever the
+//! gadget is nonzero) annihilate except for a `Q_j e_j / P` noise term
+//! attenuated at ModDown. The same commutation makes the hoisted shape
+//! sound: one raise serves every rotation.
 //!
-//! [`hoist_rotations`] + [`key_switch_galois_hoisted`] extend the same
-//! commutation *across* rotations: a linear layer applying `k`
-//! rotations to one ciphertext computes Decompose + ModUp + the digit
-//! NTTs once and replays only the automorphism → inner product →
-//! ModDown tail per rotation, bit-identical to `k` sequential
-//! [`key_switch_galois`] calls.
+//! # Strict oracle
 //!
-//! # Cross-request coalescing
-//!
-//! The lazy chain itself is **batch-first**: [`key_switch_coalesced`]
-//! and [`key_switch_galois_coalesced`] run `k` independent keyswitch
-//! jobs that share geometry (ring degree, level, Galois element — keys
-//! may differ per job, e.g. per tenant) through *one* pipeline whose
-//! kernel dispatches carry all `k` jobs' limb rows at once:
-//! `k · (l+1)` rows per input iNTT, `k · ext_limbs` rows per digit NTT
-//! / automorphism / inner product, `2k · ext_limbs` rows per
-//! accumulator iNTT + fold. [`crate::keyswitch::key_switch`] is the
-//! `k = 1` instance of the same engine, so a service layer coalescing
-//! requests widens every `KernelBackend` batch entry point it already
-//! goes through — [`fhe_math::ThreadedBackend`] sees `k`-fold wider
-//! batches even at small `L` — without changing a single per-row
-//! kernel, which is why coalesced results are bit-identical to
-//! sequential per-request execution (asserted by the suite below and
-//! `tests/backend_identity.rs`).
+//! [`key_switch_strict`] and [`key_switch_galois_strict`] are one
+//! fully-canonical pipeline, one job at a time: fully-reduced
+//! transforms (`*_strict`, which never dispatch through the active
+//! backend), the canonical automorphism and inner product, and the same
+//! ModDown combine as the engine. `tests/lazy_chains.rs` asserts the
+//! engine is bit-identical to it across every workspace modulus shape.
 
 use fhe_math::kernel::{self, ExitFold};
-use fhe_math::{Modulus, NttTable, ReductionState, Representation, RnsPoly};
+use fhe_math::{Modulus, NttTable, Representation, RnsBasis, RnsPoly};
 
 use crate::context::CkksContext;
 use crate::keys::SwitchingKey;
@@ -72,9 +85,7 @@ use crate::keys::SwitchingKey;
 /// `level`), producing the pair `(ks0, ks1)` such that
 /// `ks0 + ks1 * s_to ≈ d * s_from` — both in evaluation form at `level`.
 ///
-/// This is the lazy-chain pipeline: digit NTTs, inner products and the
-/// accumulator iNTTs all stay in the `[0, 2p)` window, with one
-/// canonicalisation per accumulator at the ModDown boundary.
+/// The `k = 1` shape of the lazy engine (see the module docs).
 /// Bit-identical to [`key_switch_strict`] (asserted by
 /// `tests/lazy_chains.rs`).
 ///
@@ -88,27 +99,18 @@ pub fn key_switch(
     key: &SwitchingKey,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
-    let mut out = key_switch_coalesced_impl(ctx, &[KsJob { d, key }], level, None);
-    out.pop().expect("one job in, one result out")
+    single(key_switch_engine(
+        ctx,
+        level,
+        Digits::Raise(&[d]),
+        &[(key, None)],
+    ))
 }
 
-/// Hoisted Galois keyswitch: applies the automorphism `sigma_g` *inside*
-/// the keyswitch pipeline, to the raised digits in evaluation form —
-/// digit NTT → automorphism → inner product → iNTT, entirely in the
-/// `[0, 2p)` window, with one fold per limb at ModDown.
-///
-/// In evaluation form `sigma_g` is a pure slot permutation
-/// ([`RnsPoly::automorphism_lazy`]), so it rides the lazy chain for
-/// free where the pre-rotation formulation (`sigma_g(d)` then
-/// [`key_switch`]) had to canonicalise `d` at the automorphism. The two
-/// orderings are interchangeable because `sigma_g` commutes exactly
-/// with the limb-group digit decompose (it acts per limb) and commutes
-/// with ModUp up to the usual approximate-BConv overshoot — a small
-/// polynomial times the digit modulus `Q_j`, which the gadget residues
-/// (`P` on digit-`j` limbs, `0` elsewhere, so `Q_j ≡ 0` wherever the
-/// gadget is nonzero) annihilate except for a `Q_j e_j / P` noise term
-/// attenuated at ModDown, exactly like the overshoot the non-hoisted
-/// pipeline already absorbs.
+/// Galois keyswitch: applies the automorphism `sigma_g` *inside* the
+/// keyswitch pipeline, to the raised digits in evaluation form, where it
+/// is a pure slot permutation riding the `[0, 2p)` chain (see the module
+/// docs for why the orderings are interchangeable).
 ///
 /// Returns `(ks0, ks1)` with `ks0 + ks1 * s ≈ sigma_g(d) * s_from`
 /// (for a Galois key, `s_from = sigma_g(s)`). Bit-identical to
@@ -124,16 +126,18 @@ pub fn key_switch_galois(
     key: &SwitchingKey,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
-    let mut out = key_switch_coalesced_impl(ctx, &[KsJob { d, key }], level, Some(g));
-    out.pop().expect("one job in, one result out")
+    single(key_switch_engine(
+        ctx,
+        level,
+        Digits::Raise(&[d]),
+        &[(key, Some(g))],
+    ))
 }
 
 /// One request of a coalesced keyswitch batch: the evaluation-form
 /// polynomial to switch and the switching key to apply. Keys may
 /// differ per job (different tenants); the geometry — ring degree,
-/// level, and for the Galois variant the Galois element — must be
-/// shared across the batch, because that is what lets all `k` jobs ride
-/// one kernel dispatch.
+/// level, and the Galois element if any — is shared across the batch.
 #[derive(Debug, Clone, Copy)]
 pub struct KsJob<'a> {
     /// The polynomial to keyswitch (evaluation form, `level + 1` limbs).
@@ -142,68 +146,124 @@ pub struct KsJob<'a> {
     pub key: &'a SwitchingKey,
 }
 
-/// Runs `k` independent [`key_switch`] jobs through one coalesced
-/// pipeline: every kernel dispatch (input iNTT, digit NTTs, inner
-/// products, accumulator iNTT, fold, output NTT) carries all `k` jobs'
-/// limb rows at once. Output `i` is bit-identical to
-/// `key_switch(ctx, jobs[i].d, jobs[i].key, level)` — the per-row
-/// kernels are unchanged, only the batch width grows.
-///
-/// # Panics
-///
-/// As [`key_switch`], per job.
-pub fn key_switch_coalesced(
-    ctx: &CkksContext,
-    jobs: &[KsJob<'_>],
-    level: usize,
-) -> Vec<(RnsPoly, RnsPoly)> {
-    key_switch_coalesced_impl(ctx, jobs, level, None)
-}
-
-/// The Galois form of [`key_switch_coalesced`]: `k` independent
-/// rotations by the *same* Galois element `g` (per-job keys, e.g. one
-/// per tenant), coalesced into one pipeline. Output `i` is
-/// bit-identical to `key_switch_galois(ctx, jobs[i].d, g, jobs[i].key,
-/// level)`.
+/// Runs `k` independent keyswitch jobs through one pipeline: every
+/// kernel dispatch of the raise and the final iNTT, fold and output NTT
+/// carries all `k` jobs' limb rows at once. With `galois: Some(g)`
+/// every job is rotated by `g`. Output `i` is bit-identical to
+/// `key_switch(ctx, jobs[i].d, jobs[i].key, level)`, or to
+/// `key_switch_galois(ctx, jobs[i].d, g, jobs[i].key, level)`.
 ///
 /// # Panics
 ///
 /// As [`key_switch_galois`], per job.
-pub fn key_switch_galois_coalesced(
+pub fn key_switch_coalesced(
     ctx: &CkksContext,
     jobs: &[KsJob<'_>],
-    g: u64,
+    galois: Option<u64>,
     level: usize,
 ) -> Vec<(RnsPoly, RnsPoly)> {
-    key_switch_coalesced_impl(ctx, jobs, level, Some(g))
+    let inputs: Vec<&RnsPoly> = jobs.iter().map(|job| job.d).collect();
+    let tails: Vec<Tail<'_>> = jobs.iter().map(|job| (job.key, galois)).collect();
+    key_switch_engine(ctx, level, Digits::Raise(&inputs), &tails)
 }
 
-/// The per-kernel-canonicalising tier of [`key_switch_galois`]
-/// (internally-lazy Harvey transforms, canonical automorphism and inner
-/// products) — the `harvey` row of the `rotate_lazy_vs_canonical`
+/// The shared ModUp state of a rotation batch: the input's `beta`
+/// digits raised to the extended basis and NTT'd once, held in the lazy
+/// `[0, 2p)` evaluation window — the state the engine reaches after the
+/// digit NTT, *before* the per-rotation automorphism.
+///
+/// Built by [`hoist_rotations`]; consumed by any number of
+/// [`key_switch_galois_hoisted`] calls.
+#[derive(Debug, Clone)]
+pub struct HoistedRotations {
+    level: usize,
+    beta: usize,
+    /// `beta` raised digits of `ext_limbs` rows each, flat limb-major.
+    digits: Vec<u64>,
+}
+
+impl HoistedRotations {
+    /// The ciphertext level the digits were raised at.
+    pub fn level(&self) -> usize {
+        self.level
+    }
+
+    /// Number of raised digits (`beta`).
+    pub fn digit_count(&self) -> usize {
+        self.beta
+    }
+}
+
+/// Computes the hoisted ModUp state of `d` (evaluation form, at
+/// `level`): decompose into digits, raise each to the extended basis,
+/// and NTT all of them with one lazy-exit dispatch.
+///
+/// # Panics
+///
+/// As [`key_switch`].
+pub fn hoist_rotations(ctx: &CkksContext, d: &RnsPoly, level: usize) -> HoistedRotations {
+    let d_coeff = inputs_to_coeff(ctx, level, &[d]);
+    let beta = ctx.keyswitch_precomp(level).digits.len();
+    let ext_basis = ctx.extended_basis(level);
+    let mut digits = Vec::with_capacity(beta * ext_basis.len() * ctx.n());
+    for j in 0..beta {
+        raise_digit_into(ctx, &d_coeff, level, j, &mut digits);
+    }
+    kernel::active().forward_batch(
+        &repeat_rows(&tables(ext_basis), beta),
+        &mut digits,
+        ExitFold::Lazy2p,
+    );
+    HoistedRotations {
+        level,
+        beta,
+        digits,
+    }
+}
+
+/// The hoisted shape of the engine: one shared raise, one tail per
+/// `(g, key)` in `rotations`. Output `i` is bit-identical to
+/// `key_switch_galois(ctx, d, rotations[i].0, rotations[i].1, level)`
+/// for the `d` and `level` that `hoisted` was built from — the per-digit
+/// kernel sequence is unchanged; the digits are merely not recomputed
+/// per rotation.
+///
+/// # Panics
+///
+/// Panics if a `g` is even or a key does not cover `hoisted.level()`.
+pub fn key_switch_galois_hoisted(
+    ctx: &CkksContext,
+    hoisted: &HoistedRotations,
+    rotations: &[(u64, &SwitchingKey)],
+) -> Vec<(RnsPoly, RnsPoly)> {
+    let tails: Vec<Tail<'_>> = rotations.iter().map(|&(g, key)| (key, Some(g))).collect();
+    key_switch_engine(ctx, hoisted.level, Digits::Hoisted(hoisted), &tails)
+}
+
+/// The fully-canonical strict oracle of [`key_switch`] (see the module
+/// docs); the `canonical` row of the `keyswitch_lazy_vs_canonical`
 /// micro.
 ///
 /// # Panics
 ///
-/// As [`key_switch_galois`].
-pub fn key_switch_galois_per_kernel(
+/// As [`key_switch`]; debug-panics on a lazy input.
+pub fn key_switch_strict(
     ctx: &CkksContext,
     d: &RnsPoly,
-    g: u64,
     key: &SwitchingKey,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
-    key_switch_impl(ctx, d, key, level, KsReduction::PerKernel, Some(g))
+    key_switch_oracle(ctx, d, key, level, None)
 }
 
-/// The fully-canonical strict oracle of [`key_switch_galois`]: same
-/// hoisted dataflow, fully-reduced transforms and canonical kernels
-/// throughout. The `canonical` row of the `rotate_lazy_vs_canonical`
-/// micro and the bit-identity reference for the lazy rotation chain.
+/// The fully-canonical strict oracle of [`key_switch_galois`]: the
+/// same oracle pipeline as [`key_switch_strict`] with the canonical
+/// automorphism on each raised digit; the `canonical` row of the
+/// `rotate_lazy_vs_canonical` micro.
 ///
 /// # Panics
 ///
-/// As [`key_switch_galois`].
+/// As [`key_switch_galois`]; debug-panics on a lazy input.
 pub fn key_switch_galois_strict(
     ctx: &CkksContext,
     d: &RnsPoly,
@@ -211,80 +271,215 @@ pub fn key_switch_galois_strict(
     key: &SwitchingKey,
     level: usize,
 ) -> (RnsPoly, RnsPoly) {
-    key_switch_impl(ctx, d, key, level, KsReduction::Strict, Some(g))
+    key_switch_oracle(ctx, d, key, level, Some(g))
 }
 
-/// The per-kernel-canonicalising keyswitch pipeline (the PR 2
-/// baseline): internally-lazy Harvey transforms whose exit passes
-/// canonicalise, canonical inner products — every kernel hands `[0, p)`
-/// residues to the next. The middle tier between [`key_switch`] (no
-/// per-kernel folds) and [`key_switch_strict`] (every butterfly folds);
-/// the `harvey` row of the `keyswitch_lazy_vs_canonical` micro.
-///
-/// # Panics
-///
-/// As [`key_switch`].
-pub fn key_switch_per_kernel(
+/// The strict oracle behind [`key_switch_strict`] and
+/// [`key_switch_galois_strict`]: `[0, p)` between all steps, its
+/// transforms run by the strict `*_strict` row loops instead of the
+/// active backend. BConv (`convert_approx`/`convert_exact`) and the
+/// eval-form permutation of `automorphism` have no strict form and
+/// still go through the backend.
+fn key_switch_oracle(
     ctx: &CkksContext,
     d: &RnsPoly,
     key: &SwitchingKey,
     level: usize,
+    galois: Option<u64>,
 ) -> (RnsPoly, RnsPoly) {
-    key_switch_impl(ctx, d, key, level, KsReduction::PerKernel, None)
+    assert_eq!(d.representation(), Representation::Eval);
+    assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
+    let ext_basis = ctx.extended_basis(level);
+    let mut d_coeff = d.clone();
+    d_coeff.to_coeff_strict();
+    let mut acc0 = RnsPoly::zero(ext_basis.clone(), Representation::Eval);
+    let mut acc1 = RnsPoly::zero(ext_basis.clone(), Representation::Eval);
+    for j in 0..ctx.keyswitch_precomp(level).digits.len() {
+        let mut raised = Vec::new();
+        raise_digit_into(ctx, d_coeff.flat(), level, j, &mut raised);
+        let mut d_tilde = RnsPoly::from_flat(ext_basis.clone(), raised, Representation::Coeff);
+        d_tilde.to_eval_strict();
+        if let Some(g) = galois {
+            d_tilde.automorphism(g, ctx.galois());
+        }
+        let (b_j, a_j) = key.row_at_level(ctx, j, level);
+        acc0.mul_acc_pointwise(&d_tilde, &b_j);
+        acc1.mul_acc_pointwise(&d_tilde, &a_j);
+    }
+    let [ks0, ks1] = [acc0, acc1].map(|mut acc| {
+        acc.to_coeff_strict();
+        let mut out = Vec::with_capacity((level + 1) * ctx.n());
+        mod_down_into(ctx, level, acc.flat(), &mut out);
+        let mut out =
+            RnsPoly::from_flat(ctx.level_basis(level).clone(), out, Representation::Coeff);
+        out.to_eval_strict();
+        out
+    });
+    (ks0, ks1)
 }
 
-/// The fully-canonical keyswitch pipeline: fully-reduced transforms
-/// (`forward_strict`/`inverse_strict`, every butterfly canonicalises)
-/// and canonical inner products, `[0, p)` between all steps. Kept as
-/// the strict oracle the lazy chain is asserted against, and as the
-/// `canonical` side of the `keyswitch_lazy_vs_canonical` micro.
+/// Where a batch's raised digits come from.
+#[derive(Clone, Copy)]
+enum Digits<'a> {
+    /// Job `i` raises input `i`, one digit at a time.
+    Raise(&'a [&'a RnsPoly]),
+    /// Every job reads the same pre-raised digits.
+    Hoisted(&'a HoistedRotations),
+}
+
+/// One job's tail: its switching key and optional Galois element.
+type Tail<'a> = (&'a SwitchingKey, Option<u64>);
+
+/// The lazy keyswitch engine (see the module docs): runs one job per
+/// entry of `tails`, all at `level`, with digits from `digits`.
 ///
-/// # Panics
-///
-/// As [`key_switch`].
-pub fn key_switch_strict(
+/// Per row this is exactly the `k = 1` lazy chain: input iNTT with a
+/// canonical exit, per digit a lazy-exit NTT, the optional slot
+/// permutation and a lazy multiply-accumulate against the key rows,
+/// one lazy-exit iNTT over both accumulators, a single
+/// `[0, 2p) → [0, p)` fold per limb, ModDown, and a canonical output
+/// NTT. The raise and the tail dispatch over the whole batch; the
+/// permutation and the MAC dispatch per job, because every job has its
+/// own key and Galois element.
+fn key_switch_engine(
     ctx: &CkksContext,
-    d: &RnsPoly,
-    key: &SwitchingKey,
     level: usize,
-) -> (RnsPoly, RnsPoly) {
-    key_switch_impl(ctx, d, key, level, KsReduction::Strict, None)
+    digits: Digits<'_>,
+    tails: &[Tail<'_>],
+) -> Vec<(RnsPoly, RnsPoly)> {
+    let k = tails.len();
+    if k == 0 {
+        return Vec::new();
+    }
+    let n = ctx.n();
+    let n_q = level + 1;
+    let level_basis = ctx.level_basis(level);
+    let ext_basis = ctx.extended_basis(level);
+    let ext_tables = tables(ext_basis);
+    let (q_moduli, p_moduli) = ext_basis.moduli().split_at(n_q);
+    let moduli = [q_moduli, p_moduli];
+    // Words per raised digit and per accumulator.
+    let row = ext_basis.len() * n;
+    let perms: Vec<_> = tails
+        .iter()
+        .map(|&(_, g)| g.map(|g| ctx.galois().eval_permutation(g)))
+        .collect();
+
+    // A raised batch holds job i's digit at offset i * row; a hoisted
+    // digit is shared, so every job reads offset 0.
+    let (d_coeff, stride) = match digits {
+        Digits::Raise(inputs) => {
+            assert_eq!(inputs.len(), k, "one input per job");
+            (inputs_to_coeff(ctx, level, inputs), row)
+        }
+        Digits::Hoisted(h) => {
+            assert_eq!(h.level, level, "hoisted state level mismatch");
+            (Vec::new(), 0)
+        }
+    };
+    let ext_tables_k = repeat_rows(&ext_tables, k);
+
+    // Both accumulators of every job live in one buffer (acc0 rows for
+    // all jobs, then acc1 rows for all jobs) so the tail iNTT + fold are
+    // single dispatches over 2k * ext_limbs rows.
+    let mut acc_all = vec![0u64; 2 * k * row];
+    let mut raised: Vec<u64> = Vec::with_capacity(k * stride);
+    let mut permuted: Vec<u64> = Vec::new();
+    for j in 0..ctx.keyswitch_precomp(level).digits.len() {
+        let src: &[u64] = match digits {
+            Digits::Raise(_) => {
+                // Raise digit j of every job, then NTT all k * ext_limbs
+                // rows with one lazy-exit dispatch.
+                raised.clear();
+                for d in d_coeff.chunks_exact(n_q * n) {
+                    raise_digit_into(ctx, d, level, j, &mut raised);
+                }
+                kernel::active().forward_batch(&ext_tables_k, &mut raised, ExitFold::Lazy2p);
+                &raised
+            }
+            Digits::Hoisted(h) => &h.digits[j * row..(j + 1) * row],
+        };
+        let (acc0, acc1) = acc_all.split_at_mut(k * row);
+        for (i, (&(key, _), perm)) in tails.iter().zip(&perms).enumerate() {
+            let mut x = &src[i * stride..i * stride + row];
+            // The automorphism is a pure slot permutation that preserves
+            // the [0, 2p) window.
+            if let Some(perm) = perm {
+                permuted.resize(row, 0);
+                kernel::active().permute_batch(perm, x, &mut permuted);
+                x = &permuted;
+            }
+            let [b, a] = key.row_runs(ctx, j, level);
+            mul_acc_key_row(moduli, &mut acc0[i * row..(i + 1) * row], x, b);
+            mul_acc_key_row(moduli, &mut acc1[i * row..(i + 1) * row], x, a);
+        }
+    }
+
+    // Tail: lazy-exit iNTT over both accumulators of every job, then
+    // the chain's single deferred fold per limb — each one dispatch.
+    kernel::active().inverse_batch(
+        &repeat_rows(&ext_tables, 2 * k),
+        &mut acc_all,
+        ExitFold::Lazy2p,
+    );
+    kernel::active()
+        .fold_2p_to_canonical_batch(&repeat_rows(ext_basis.moduli(), 2 * k), &mut acc_all);
+
+    // ModDown every accumulator, then one canonical output NTT over all
+    // 2k * (l+1) rows.
+    let mut out_all = Vec::with_capacity(2 * k * n_q * n);
+    for acc in acc_all.chunks_exact(row) {
+        mod_down_into(ctx, level, acc, &mut out_all);
+    }
+    kernel::active().forward_batch(
+        &repeat_rows(&tables(level_basis), 2 * k),
+        &mut out_all,
+        ExitFold::Canonical,
+    );
+
+    // Job i's ks0 rows sit at chunk i, its ks1 rows at chunk k + i.
+    let mut polys = out_all
+        .chunks_exact(n_q * n)
+        .map(|c| RnsPoly::from_flat(level_basis.clone(), c.to_vec(), Representation::Eval));
+    let ks0: Vec<RnsPoly> = polys.by_ref().take(k).collect();
+    ks0.into_iter().zip(polys).collect()
 }
 
-/// The reduction discipline a keyswitch pipeline runs under — the
-/// three tiers the `keyswitch_lazy_vs_canonical` micro splits apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KsReduction {
-    /// Cross-kernel `[0, 2p)` chain, one fold per limb at ModDown.
-    LazyChain,
-    /// Harvey transforms with canonicalising exits (PR 2 pipeline).
-    PerKernel,
-    /// Fully-reduced butterflies (`*_strict` transforms).
-    Strict,
+/// The lazy `IP` step of one job against one key row borrowed in place:
+/// the row's q-limbs and `P`-limbs are separate runs of the full-basis
+/// key ([`SwitchingKey::row_runs`]), so the MAC dispatches once per run
+/// (under `moduli[0]` and `moduli[1]`) instead of on a copied row.
+fn mul_acc_key_row(moduli: [&[Modulus]; 2], acc: &mut [u64], x: &[u64], key: [&[u64]; 2]) {
+    let (acc_q, acc_p) = acc.split_at_mut(key[0].len());
+    let (x_q, x_p) = x.split_at(key[0].len());
+    kernel::active().mul_acc_lazy_batch(moduli[0], acc_q, x_q, key[0]);
+    kernel::active().mul_acc_lazy_batch(moduli[1], acc_p, x_p, key[1]);
 }
 
-/// The digit-raising front half of the pipeline, shared by
-/// [`key_switch_impl`] and [`hoist_rotations`]: gather digit `j`'s
-/// limbs from the canonical coefficient-form input, ModUp (approximate
-/// BConv) into the complement limbs and `P`, and reassemble the
-/// extended-basis limb order `[q_0..q_l, p_0..]` — returning the raised
-/// digit in coefficient form.
-fn raise_digit(ctx: &CkksContext, d_coeff: &RnsPoly, level: usize, j: usize) -> RnsPoly {
-    let n_ext = ctx.extended_basis(level).len();
-    let mut flat = Vec::with_capacity(n_ext * ctx.n());
-    raise_digit_into(ctx, d_coeff.flat(), level, j, &mut flat);
-    RnsPoly::from_flat(
-        ctx.extended_basis(level).clone(),
-        flat,
-        Representation::Coeff,
-    )
+/// Stacks `inputs` (evaluation form, `level + 1` limbs each) into one
+/// flat buffer and brings it to coefficient form with one batched iNTT.
+/// Decompose needs true `[0, p)` representatives, which the canonical
+/// exit gives for free.
+fn inputs_to_coeff(ctx: &CkksContext, level: usize, inputs: &[&RnsPoly]) -> Vec<u64> {
+    let mut flat = Vec::with_capacity(inputs.len() * (level + 1) * ctx.n());
+    for d in inputs {
+        assert_eq!(d.representation(), Representation::Eval);
+        assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
+        flat.extend_from_slice(d.flat());
+    }
+    kernel::active().inverse_batch(
+        &repeat_rows(&tables(ctx.level_basis(level)), inputs.len()),
+        &mut flat,
+        ExitFold::Canonical,
+    );
+    flat
 }
 
-/// Flat-buffer core of [`raise_digit`]: reads the canonical
-/// coefficient-form limb rows of one input (`(level + 1) * n` words)
-/// and appends the raised digit's `ext_limbs * n` words to `out` — the
-/// append-only form the coalesced engine uses to build one combined
-/// buffer for all jobs of a batch.
+/// The digit-raising front half: gathers digit `j`'s limbs from one
+/// input's canonical coefficient-form rows (`(level + 1) * n` words),
+/// ModUps them (approximate BConv) into the complement limbs and `P`,
+/// and appends the raised digit's `ext_limbs * n` words to `out` in the
+/// extended-basis limb order `[q_0..q_l, p_0..]`.
 fn raise_digit_into(ctx: &CkksContext, d_flat: &[u64], level: usize, j: usize, out: &mut Vec<u64>) {
     let precomp = ctx.keyswitch_precomp(level);
     let digit = &precomp.digits[j];
@@ -313,60 +508,37 @@ fn raise_digit_into(ctx: &CkksContext, d_flat: &[u64], level: usize, j: usize, o
     out.extend_from_slice(&converted[p_start * n..(p_start + n_p) * n]);
 }
 
-fn key_switch_impl(
-    ctx: &CkksContext,
-    d: &RnsPoly,
-    key: &SwitchingKey,
-    level: usize,
-    mode: KsReduction,
-    galois: Option<u64>,
-) -> (RnsPoly, RnsPoly) {
-    assert_eq!(d.representation(), Representation::Eval);
-    assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
+/// ModDown (Algorithm 1, line 12) of one canonical coefficient-form
+/// accumulator over `C_l ∪ P`: subtracts the exact base conversion of
+/// its `P`-part from its q-part and multiplies by `P^{-1}`, appending
+/// the `(level + 1) * n` coefficient-form words to `out`. Serves both
+/// the engine and the strict oracle.
+fn mod_down_into(ctx: &CkksContext, level: usize, acc: &[u64], out: &mut Vec<u64>) {
     let precomp = ctx.keyswitch_precomp(level);
-    let ext_basis = ctx.extended_basis(level).clone();
-
-    // Decompose needs true [0, p) representatives, so the input iNTT
-    // canonicalises (its exit pass does that for free).
-    let mut d_coeff = d.clone();
-    d_coeff.to_coeff();
-
-    let mut acc0 = RnsPoly::zero(ext_basis.clone(), Representation::Eval);
-    let mut acc1 = RnsPoly::zero(ext_basis.clone(), Representation::Eval);
-
-    for j in 0..precomp.digits.len() {
-        let mut d_tilde = raise_digit(ctx, &d_coeff, level, j);
-        let (b_j, a_j) = key.row_at_level(ctx, j, level);
-        match mode {
-            // The lazy-chain tier runs through the coalesced engine
-            // (`key_switch_coalesced_impl`) — this oracle pipeline only
-            // serves the canonicalising tiers.
-            KsReduction::LazyChain => {
-                unreachable!("lazy-chain keyswitch runs through the coalesced engine")
-            }
-            KsReduction::PerKernel => {
-                d_tilde.to_eval();
-                if let Some(g) = galois {
-                    d_tilde.automorphism(g, ctx.galois());
-                }
-                acc0.mul_acc_pointwise(&d_tilde, &b_j);
-                acc1.mul_acc_pointwise(&d_tilde, &a_j);
-            }
-            KsReduction::Strict => {
-                d_tilde.to_eval_strict();
-                if let Some(g) = galois {
-                    d_tilde.automorphism(g, ctx.galois());
-                }
-                acc0.mul_acc_pointwise(&d_tilde, &b_j);
-                acc1.mul_acc_pointwise(&d_tilde, &a_j);
-            }
-        }
+    let n = ctx.n();
+    // Limb-major layout: the q-limbs and P-limbs are contiguous halves,
+    // so the P-part feeds BConv without any gather.
+    let (q_flat, p_flat) = acc.split_at((level + 1) * n);
+    let p_in_q = precomp.mod_down.convert_exact(p_flat);
+    let moduli = ctx.level_basis(level).moduli();
+    for (((c_row, p_row), qi), &inv) in q_flat
+        .chunks_exact(n)
+        .zip(p_in_q.chunks_exact(n))
+        .zip(moduli)
+        .zip(&precomp.p_inv_mod_q)
+    {
+        out.extend(
+            c_row
+                .iter()
+                .zip(p_row)
+                .map(|(&c, &p)| qi.mul(qi.sub(c, p), inv)),
+        );
     }
+}
 
-    // iNTT + ModDown both accumulators.
-    let ks0 = mod_down(ctx, acc0, level, mode);
-    let ks1 = mod_down(ctx, acc1, level, mode);
-    (ks0, ks1)
+/// The NTT tables of `basis`, one per limb row.
+fn tables(basis: &RnsBasis) -> Vec<&NttTable> {
+    basis.tables().iter().map(|t| t.as_ref()).collect()
 }
 
 /// Repeats the per-limb slice `once` back to back `k` times — the
@@ -380,292 +552,9 @@ fn repeat_rows<T: Copy>(once: &[T], k: usize) -> Vec<T> {
     out
 }
 
-/// The coalesced lazy-chain keyswitch engine (see the module docs):
-/// runs all `jobs` — same `ctx`/`level`/`galois` geometry, per-job
-/// inputs and keys — through one pipeline whose kernel dispatches
-/// carry every job's limb rows at once.
-///
-/// Per row this is exactly the `k = 1` lazy chain: input iNTT with a
-/// canonical exit, per digit a lazy-exit NTT + (optional) slot
-/// permutation + lazy multiply-accumulate against the key rows, one
-/// lazy-exit iNTT over both accumulators, a single `[0, 2p) → [0, p)`
-/// fold per limb, ModDown's exact BConv + combine, and a canonical
-/// output NTT. Batching concatenates rows; it never changes a per-row
-/// kernel, which is the bit-identity argument (asserted against the
-/// strict oracle by `tests/lazy_chains.rs` and per-backend by
-/// `tests/backend_identity.rs`).
-fn key_switch_coalesced_impl(
-    ctx: &CkksContext,
-    jobs: &[KsJob<'_>],
-    level: usize,
-    galois: Option<u64>,
-) -> Vec<(RnsPoly, RnsPoly)> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let k = jobs.len();
-    let n = ctx.n();
-    let n_q = level + 1;
-    let precomp = ctx.keyswitch_precomp(level);
-    let level_basis = ctx.level_basis(level).clone();
-    let ext_basis = ctx.extended_basis(level).clone();
-    let n_ext = ext_basis.len();
-
-    let level_tables: Vec<&NttTable> = level_basis.tables().iter().map(|t| t.as_ref()).collect();
-    let ext_tables: Vec<&NttTable> = ext_basis.tables().iter().map(|t| t.as_ref()).collect();
-    let ext_tables_k = repeat_rows(&ext_tables, k);
-    let ext_moduli_k: Vec<Modulus> = repeat_rows(ext_basis.moduli(), k);
-
-    // Decompose needs true [0, p) representatives, so the batched input
-    // iNTT exits canonically — one dispatch over all k * (l+1) rows.
-    let mut d_coeff = Vec::with_capacity(k * n_q * n);
-    for job in jobs {
-        assert_eq!(job.d.representation(), Representation::Eval);
-        assert_eq!(job.d.limbs(), n_q, "polynomial level mismatch");
-        d_coeff.extend_from_slice(job.d.flat());
-    }
-    kernel::active().inverse_batch(
-        &repeat_rows(&level_tables, k),
-        &mut d_coeff,
-        ExitFold::Canonical,
-    );
-
-    // Both accumulators live in one buffer (acc0 rows for all jobs,
-    // then acc1 rows for all jobs) so the tail iNTT + fold are single
-    // dispatches over 2k * ext_limbs rows.
-    let mut acc_all = vec![0u64; 2 * k * n_ext * n];
-    let perm = galois.map(|g| {
-        assert_eq!(g % 2, 1, "galois element must be odd");
-        ctx.galois().eval_permutation(g)
-    });
-
-    let mut digit_buf: Vec<u64> = Vec::with_capacity(k * n_ext * n);
-    let mut perm_buf = vec![0u64; if perm.is_some() { k * n_ext * n } else { 0 }];
-    let mut b_buf: Vec<u64> = Vec::with_capacity(k * n_ext * n);
-    let mut a_buf: Vec<u64> = Vec::with_capacity(k * n_ext * n);
-    for j in 0..precomp.digits.len() {
-        // Raise digit j of every job into one combined buffer, then NTT
-        // all k * ext_limbs rows with one lazy-exit dispatch.
-        digit_buf.clear();
-        for i in 0..k {
-            raise_digit_into(
-                ctx,
-                &d_coeff[i * n_q * n..(i + 1) * n_q * n],
-                level,
-                j,
-                &mut digit_buf,
-            );
-        }
-        kernel::active().forward_batch(&ext_tables_k, &mut digit_buf, ExitFold::Lazy2p);
-        // The hoisted automorphism is a pure slot permutation that
-        // preserves the [0, 2p) window — one gather over the batch.
-        if let Some(perm) = &perm {
-            kernel::active().permute_batch(perm.as_slice(), &digit_buf, &mut perm_buf);
-            std::mem::swap(&mut digit_buf, &mut perm_buf);
-        }
-        // Inner product: every job's key row for this digit, one lazy
-        // MAC dispatch per accumulator over all k * ext_limbs rows.
-        b_buf.clear();
-        a_buf.clear();
-        for job in jobs {
-            let (b_j, a_j) = job.key.row_at_level(ctx, j, level);
-            b_buf.extend_from_slice(b_j.flat());
-            a_buf.extend_from_slice(a_j.flat());
-        }
-        let (acc0, acc1) = acc_all.split_at_mut(k * n_ext * n);
-        kernel::active().mul_acc_lazy_batch(&ext_moduli_k, acc0, &digit_buf, &b_buf);
-        kernel::active().mul_acc_lazy_batch(&ext_moduli_k, acc1, &digit_buf, &a_buf);
-    }
-
-    // Tail: lazy-exit iNTT over both accumulators of every job, then
-    // the chain's single deferred fold per limb — each one dispatch.
-    kernel::active().inverse_batch(
-        &repeat_rows(&ext_tables, 2 * k),
-        &mut acc_all,
-        ExitFold::Lazy2p,
-    );
-    kernel::active()
-        .fold_2p_to_canonical_batch(&repeat_rows(ext_basis.moduli(), 2 * k), &mut acc_all);
-
-    // ModDown per accumulator (exact BConv of the P-part + combine),
-    // collecting every output's coefficient rows for one final
-    // canonical-exit NTT over all 2k * (l+1) rows.
-    let mut out_all = Vec::with_capacity(2 * k * n_q * n);
-    for acc in acc_all.chunks_exact(n_ext * n) {
-        let (q_flat, p_flat) = acc.split_at(n_q * n);
-        let p_in_q = precomp.mod_down.convert_exact(p_flat);
-        for i in 0..n_q {
-            let qi = level_basis.modulus(i);
-            let inv = precomp.p_inv_mod_q[i];
-            out_all.extend(
-                q_flat[i * n..(i + 1) * n]
-                    .iter()
-                    .zip(&p_in_q[i * n..(i + 1) * n])
-                    .map(|(&c, &p)| qi.mul(qi.sub(c, p), inv)),
-            );
-        }
-    }
-    kernel::active().forward_batch(
-        &repeat_rows(&level_tables, 2 * k),
-        &mut out_all,
-        ExitFold::Canonical,
-    );
-
-    // Split back into per-job (ks0, ks1) pairs: job i's ks0 rows sit at
-    // chunk i, its ks1 rows at chunk k + i.
-    let stride = n_q * n;
-    (0..k)
-        .map(|i| {
-            let ks0 = RnsPoly::from_flat(
-                level_basis.clone(),
-                out_all[i * stride..(i + 1) * stride].to_vec(),
-                Representation::Eval,
-            );
-            let ks1 = RnsPoly::from_flat(
-                level_basis.clone(),
-                out_all[(k + i) * stride..(k + i + 1) * stride].to_vec(),
-                Representation::Eval,
-            );
-            (ks0, ks1)
-        })
-        .collect()
-}
-
-/// The shared ModUp state of a rotation batch: the input's digit
-/// decomposition raised to the extended basis and NTT'd once, held in
-/// the lazy `[0, 2p)` evaluation window — exactly the state
-/// `key_switch_impl` reaches after the digit NTT, *before* the
-/// per-rotation automorphism.
-///
-/// A linear layer that applies `k` rotations to one ciphertext pays
-/// for Decompose + ModUp + the `beta * ext_limbs` digit NTTs once via
-/// [`hoist_rotations`], then runs only the per-rotation tail
-/// (automorphism → inner product → iNTT → ModDown) `k` times via
-/// [`key_switch_galois_hoisted`]. This works because the eval-form
-/// automorphism is a pure slot permutation that commutes with the
-/// shared raise — the same commutation [`key_switch_galois`] already
-/// exploits per rotation.
-#[derive(Debug, Clone)]
-pub struct HoistedRotations {
-    level: usize,
-    digits: Vec<RnsPoly>,
-}
-
-impl HoistedRotations {
-    /// The ciphertext level the digits were raised at.
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Number of raised digits (`beta`).
-    pub fn digit_count(&self) -> usize {
-        self.digits.len()
-    }
-}
-
-/// Computes the hoisted ModUp state of `d` (evaluation form, at
-/// `level`): decompose into digits, raise each to the extended basis,
-/// and NTT each with a lazy exit. The result feeds any number of
-/// [`key_switch_galois_hoisted`] calls.
-///
-/// # Panics
-///
-/// As [`key_switch`].
-pub fn hoist_rotations(ctx: &CkksContext, d: &RnsPoly, level: usize) -> HoistedRotations {
-    assert_eq!(d.representation(), Representation::Eval);
-    assert_eq!(d.limbs(), level + 1, "polynomial level mismatch");
-    // Decompose needs true [0, p) representatives, so the input iNTT
-    // canonicalises (its exit pass does that for free).
-    let mut d_coeff = d.clone();
-    d_coeff.to_coeff();
-    let beta = ctx.keyswitch_precomp(level).digits.len();
-    let digits = (0..beta)
-        .map(|j| {
-            let mut raised = raise_digit(ctx, &d_coeff, level, j);
-            raised.to_eval_lazy();
-            raised
-        })
-        .collect();
-    HoistedRotations { level, digits }
-}
-
-/// The per-rotation tail of the hoisted pipeline: applies the
-/// eval-form automorphism `sigma_g` to each shared raised digit (a
-/// pure slot permutation preserving the `[0, 2p)` window), runs the
-/// inner product against the Galois key rows, and ModDowns with the
-/// lazy-chain single fold per limb.
-///
-/// Bit-identical to [`key_switch_galois`] on the same `(d, g, key)`
-/// because the per-digit kernel sequence — lazy NTT, lazy
-/// automorphism, lazy MAC, lazy iNTT, one fold — is unchanged; the
-/// digits are merely not recomputed per rotation. Asserted by the
-/// suite below and `tests/backend_identity.rs`.
-///
-/// # Panics
-///
-/// Panics if `g` is even or `key` does not cover `hoisted.level()`.
-pub fn key_switch_galois_hoisted(
-    ctx: &CkksContext,
-    hoisted: &HoistedRotations,
-    g: u64,
-    key: &SwitchingKey,
-) -> (RnsPoly, RnsPoly) {
-    let level = hoisted.level;
-    let ext_basis = ctx.extended_basis(level).clone();
-    let mut acc0 = RnsPoly::zero(ext_basis.clone(), Representation::Eval);
-    let mut acc1 = RnsPoly::zero(ext_basis, Representation::Eval);
-    for (j, raised) in hoisted.digits.iter().enumerate() {
-        let mut d_tilde = raised.clone();
-        d_tilde.automorphism_lazy(g, ctx.galois());
-        let (b_j, a_j) = key.row_at_level(ctx, j, level);
-        acc0.mul_acc_pointwise_lazy(&d_tilde, &b_j);
-        acc1.mul_acc_pointwise_lazy(&d_tilde, &a_j);
-    }
-    let ks0 = mod_down(ctx, acc0, level, KsReduction::LazyChain);
-    let ks1 = mod_down(ctx, acc1, level, KsReduction::LazyChain);
-    (ks0, ks1)
-}
-
-/// ModDown: maps a polynomial over `C_l ∪ P` to `C_l`, dividing by `P`
-/// with rounding (the tail step of Algorithm 1, line 12).
-///
-/// In the lazy pipeline the accumulator arrives in `[0, 2p)`; the iNTT
-/// exits lazily and the deferred fold happens here, once per limb —
-/// the ciphertext-boundary canonicalisation of the chain.
-fn mod_down(ctx: &CkksContext, mut acc: RnsPoly, level: usize, mode: KsReduction) -> RnsPoly {
-    let precomp = ctx.keyswitch_precomp(level);
-    match mode {
-        KsReduction::LazyChain => {
-            acc.to_coeff_lazy();
-            debug_assert_eq!(acc.reduction_state(), ReductionState::Lazy2p);
-            acc.canonicalize();
-        }
-        KsReduction::PerKernel => acc.to_coeff(),
-        KsReduction::Strict => acc.to_coeff_strict(),
-    }
-    debug_assert_eq!(acc.reduction_state(), ReductionState::Canonical);
-    let n = acc.n();
-    let flat = acc.into_flat();
-    let n_q = level + 1;
-    // Limb-major layout: the q-limbs and P-limbs are contiguous halves,
-    // so the P-part feeds BConv without any gather.
-    let (q_flat, p_flat) = flat.split_at(n_q * n);
-    let p_in_q = precomp.mod_down.convert_exact(p_flat);
-    let level_basis = ctx.level_basis(level).clone();
-    let mut out_flat = Vec::with_capacity(n_q * n);
-    for i in 0..n_q {
-        let qi = level_basis.modulus(i);
-        let inv = precomp.p_inv_mod_q[i];
-        out_flat.extend(
-            q_flat[i * n..(i + 1) * n]
-                .iter()
-                .zip(&p_in_q[i * n..(i + 1) * n])
-                .map(|(&c, &p)| qi.mul(qi.sub(c, p), inv)),
-        );
-    }
-    let mut out = RnsPoly::from_flat(level_basis, out_flat, Representation::Coeff);
-    out.to_eval();
-    out
+/// Unwraps the single result of a `k = 1` engine run.
+fn single(mut out: Vec<(RnsPoly, RnsPoly)>) -> (RnsPoly, RnsPoly) {
+    out.pop().expect("one job in, one result out")
 }
 
 #[cfg(test)]
@@ -673,10 +562,9 @@ mod tests {
     use super::*;
     use crate::keys::KeyGenerator;
     use crate::params::CkksParams;
-    use fhe_math::sampler;
+    use fhe_math::{sampler, ReductionState};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     /// Keyswitching d with the relin key must produce (ks0, ks1) with
     /// ks0 + ks1*s ≈ d*s^2 — the defining property.
@@ -812,9 +700,9 @@ mod tests {
         }
     }
 
-    /// All three reduction tiers of the hoisted Galois pipeline are
-    /// bit-identical — the rotation-chain counterpart of the plain
-    /// keyswitch tier assertions in `tests/lazy_chains.rs`.
+    /// The lazy Galois keyswitch is bit-identical to its strict oracle —
+    /// the rotation-chain counterpart of the plain keyswitch assertions
+    /// in `tests/lazy_chains.rs`.
     #[test]
     fn galois_keyswitch_tiers_bit_identical() {
         let ctx = CkksContext::new(CkksParams::tiny_params());
@@ -831,12 +719,9 @@ mod tests {
             }
             let d = RnsPoly::from_flat(basis, flat, Representation::Eval);
             let (l0, l1) = key_switch_galois(&ctx, &d, g, &gk, level);
-            let (h0, h1) = key_switch_galois_per_kernel(&ctx, &d, g, &gk, level);
             let (s0, s1) = key_switch_galois_strict(&ctx, &d, g, &gk, level);
             assert_eq!(l0.flat(), s0.flat(), "lazy vs strict ks0, level {level}");
             assert_eq!(l1.flat(), s1.flat(), "lazy vs strict ks1, level {level}");
-            assert_eq!(h0.flat(), s0.flat(), "harvey vs strict ks0, level {level}");
-            assert_eq!(h1.flat(), s1.flat(), "harvey vs strict ks1, level {level}");
             assert_eq!(l0.reduction_state(), ReductionState::Canonical);
             assert_eq!(l1.reduction_state(), ReductionState::Canonical);
         }
@@ -845,7 +730,9 @@ mod tests {
     /// One [`hoist_rotations`] call must serve every rotation in a
     /// batch, each output bitwise identical to the corresponding
     /// sequential [`key_switch_galois`] — the digits are shared, not
-    /// recomputed, and sharing must not change a single bit.
+    /// recomputed, and sharing must not change a single bit, whether
+    /// the rotations run as one hoisted batch (per-job `g` and key) or
+    /// one at a time.
     #[test]
     fn hoisted_rotations_bit_identical_to_sequential() {
         let ctx = CkksContext::new(CkksParams::tiny_params());
@@ -864,13 +751,25 @@ mod tests {
             assert_eq!(hoisted.level(), level);
             assert!(hoisted.digit_count() >= 1);
 
-            for r in [1i64, -1, 2, 3] {
-                let g = fhe_math::galois::rotation_galois_element(r, ctx.n());
-                let gk = kg.galois_key(&sk, g, &mut rng);
-                let (h0, h1) = key_switch_galois_hoisted(&ctx, &hoisted, g, &gk);
-                let (s0, s1) = key_switch_galois(&ctx, &d, g, &gk, level);
+            let steps = [1i64, -1, 2, 3];
+            let gs: Vec<u64> = steps
+                .iter()
+                .map(|&r| fhe_math::galois::rotation_galois_element(r, ctx.n()))
+                .collect();
+            let gks: Vec<SwitchingKey> = gs
+                .iter()
+                .map(|&g| kg.galois_key(&sk, g, &mut rng))
+                .collect();
+            let rotations: Vec<(u64, &SwitchingKey)> = gs.iter().copied().zip(&gks).collect();
+            let batch = key_switch_galois_hoisted(&ctx, &hoisted, &rotations);
+            assert_eq!(batch.len(), rotations.len());
+            for ((r, &(g, gk)), (b0, b1)) in steps.iter().zip(&rotations).zip(&batch) {
+                let (h0, h1) = single(key_switch_galois_hoisted(&ctx, &hoisted, &[(g, gk)]));
+                let (s0, s1) = key_switch_galois(&ctx, &d, g, gk, level);
                 assert_eq!(h0.flat(), s0.flat(), "ks0 r={r} level={level}");
                 assert_eq!(h1.flat(), s1.flat(), "ks1 r={r} level={level}");
+                assert_eq!(b0.flat(), s0.flat(), "batched ks0 r={r} level={level}");
+                assert_eq!(b1.flat(), s1.flat(), "batched ks1 r={r} level={level}");
             }
         }
     }
@@ -907,7 +806,7 @@ mod tests {
                 .zip(&keys)
                 .map(|(d, key)| KsJob { d, key })
                 .collect();
-            let coalesced = key_switch_coalesced(&ctx, &jobs, level);
+            let coalesced = key_switch_coalesced(&ctx, &jobs, None, level);
             assert_eq!(coalesced.len(), jobs.len());
             for (i, (job, (c0, c1))) in jobs.iter().zip(&coalesced).enumerate() {
                 let (s0, s1) = key_switch(&ctx, job.d, job.key, level);
@@ -929,36 +828,37 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(58);
         let kg = KeyGenerator::new(ctx.clone());
         let g = fhe_math::galois::rotation_galois_element(1, ctx.n());
-        let level = ctx.params().max_level();
-        let basis = ctx.level_basis(level).clone();
-        let mut ds = Vec::new();
-        let mut keys = Vec::new();
-        for _ in 0..4 {
-            let sk = kg.secret_key(&mut rng);
-            keys.push(kg.galois_key(&sk, g, &mut rng));
-            let mut flat = Vec::with_capacity(basis.len() * ctx.n());
-            for m in basis.moduli() {
-                flat.extend(sampler::uniform_residues(&mut rng, m, ctx.n()));
+        for level in [ctx.params().max_level(), 0] {
+            let basis = ctx.level_basis(level).clone();
+            let mut ds = Vec::new();
+            let mut keys = Vec::new();
+            for _ in 0..4 {
+                let sk = kg.secret_key(&mut rng);
+                keys.push(kg.galois_key(&sk, g, &mut rng));
+                let mut flat = Vec::with_capacity(basis.len() * ctx.n());
+                for m in basis.moduli() {
+                    flat.extend(sampler::uniform_residues(&mut rng, m, ctx.n()));
+                }
+                ds.push(RnsPoly::from_flat(
+                    basis.clone(),
+                    flat,
+                    Representation::Eval,
+                ));
             }
-            ds.push(RnsPoly::from_flat(
-                basis.clone(),
-                flat,
-                Representation::Eval,
-            ));
+            let jobs: Vec<KsJob<'_>> = ds
+                .iter()
+                .zip(&keys)
+                .map(|(d, key)| KsJob { d, key })
+                .collect();
+            let coalesced = key_switch_coalesced(&ctx, &jobs, Some(g), level);
+            for (i, (job, (c0, c1))) in jobs.iter().zip(&coalesced).enumerate() {
+                let (s0, s1) = key_switch_galois(&ctx, job.d, g, job.key, level);
+                assert_eq!(c0.flat(), s0.flat(), "ks0 job {i} level {level}");
+                assert_eq!(c1.flat(), s1.flat(), "ks1 job {i} level {level}");
+            }
+            // An empty batch is a no-op, not a panic.
+            assert!(key_switch_coalesced(&ctx, &[], Some(g), level).is_empty());
         }
-        let jobs: Vec<KsJob<'_>> = ds
-            .iter()
-            .zip(&keys)
-            .map(|(d, key)| KsJob { d, key })
-            .collect();
-        let coalesced = key_switch_galois_coalesced(&ctx, &jobs, g, level);
-        for (i, (job, (c0, c1))) in jobs.iter().zip(&coalesced).enumerate() {
-            let (s0, s1) = key_switch_galois(&ctx, job.d, g, job.key, level);
-            assert_eq!(c0.flat(), s0.flat(), "ks0 job {i}");
-            assert_eq!(c1.flat(), s1.flat(), "ks1 job {i}");
-        }
-        // An empty batch is a no-op, not a panic.
-        assert!(key_switch_galois_coalesced(&ctx, &[], g, level).is_empty());
     }
 
     #[test]
@@ -972,8 +872,4 @@ mod tests {
         let d = RnsPoly::zero(ctx.level_basis(1).clone(), Representation::Eval);
         let _ = key_switch(&ctx, &d, &rlk, 2);
     }
-
-    // Arc import used by helper signatures in sibling tests.
-    #[allow(dead_code)]
-    fn _keep(_: Arc<CkksContext>) {}
 }

@@ -20,17 +20,22 @@
 //!   inside op implementations and the short-lived [`Ciphertext3`]
 //!   tensor (folded by [`Evaluator::relinearize`] or
 //!   [`Ciphertext3::canonicalize`]).
-//! * [`key_switch`] keeps digit NTTs, inner-product accumulators and
-//!   the exit iNTT lazy, folding once per accumulator limb at the
+//! * Keyswitching is one batched lazy engine with three call shapes:
+//!   single ([`key_switch`], [`key_switch_galois`]), coalesced
+//!   ([`key_switch_coalesced`]: `k` inputs, per-job keys) and hoisted
+//!   ([`hoist_rotations`] + [`key_switch_galois_hoisted`]: one raise,
+//!   `k` rotations). Digit NTTs, inner-product accumulators and the
+//!   exit iNTT stay lazy, folding once per accumulator limb at the
 //!   ModDown boundary.
 //! * [`Evaluator::apply_galois`] hoists the automorphism into the
 //!   keyswitch ([`key_switch_galois`]): in evaluation form it is a
 //!   pure, reduction-agnostic slot permutation, so the whole HRotate
 //!   chain (digit NTT → `Auto` → `IP` → iNTT) stays `[0, 2p)` and
 //!   folds once at ModDown.
-//! * Every lazy chain has a strict oracle ([`key_switch_strict`],
-//!   [`Evaluator::mul_strict`], ...) built on the fully-reduced
-//!   transforms; the workspace suite `tests/lazy_chains.rs` asserts
+//! * Every lazy chain has a strict oracle built on the fully-reduced
+//!   transforms — one keyswitch oracle behind [`key_switch_strict`]
+//!   and [`key_switch_galois_strict`], and [`Evaluator::mul_strict`],
+//!   ...; the workspace suite `tests/lazy_chains.rs` asserts
 //!   bit-identity across all modulus shapes, and strict kernels
 //!   debug-assert their inputs are canonical so a lazy residue can
 //!   never leak in unnoticed.
@@ -86,8 +91,8 @@ pub use eval::Evaluator;
 pub use keys::{KeyGenerator, KeySet, PublicKey, SecretKey, SwitchingKey};
 pub use keyswitch::{
     hoist_rotations, key_switch, key_switch_coalesced, key_switch_galois,
-    key_switch_galois_coalesced, key_switch_galois_hoisted, key_switch_galois_per_kernel,
-    key_switch_galois_strict, key_switch_per_kernel, key_switch_strict, HoistedRotations, KsJob,
+    key_switch_galois_hoisted, key_switch_galois_strict, key_switch_strict, HoistedRotations,
+    KsJob,
 };
 pub use linalg::LinearTransform;
 pub use noise::{measure_noise_bits, NoiseEstimate, NoiseModel};

@@ -5,9 +5,10 @@
 //! brings `L + k` rows, far short of saturating even a modest worker
 //! pool. A multi-tenant queue fixes that *statistically*: independent
 //! rotation requests from different tenants frequently share geometry,
-//! and [`fhe_ckks::key_switch_galois_coalesced`] can run any number of
-//! same-geometry jobs (each under its own tenant key) as one wide
-//! dispatch, bit-identically to running them apart.
+//! and [`fhe_ckks::key_switch_coalesced`] can run any number of
+//! same-geometry jobs (each under its own tenant key) as one batch
+//! whose raise and tail dispatches carry every job's rows,
+//! bit-identically to running them apart.
 //!
 //! Two jobs may share a dispatch exactly when they agree on
 //! [`Geometry`]: the same context instance (same ring degree, RNS

@@ -18,7 +18,8 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trinity::ckks::{
-    key_switch, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator, KeySet,
+    key_switch, key_switch_coalesced, CkksContext, CkksParams, Encoder, Encryptor, Evaluator,
+    KeyGenerator, KeySet, KsJob, SwitchingKey,
 };
 use trinity::math::kernel::{self, KernelBackend};
 use trinity::math::{galois, sampler, Representation, RnsPoly};
@@ -82,25 +83,50 @@ fn test_shape() -> &'static CkksFixture {
     })
 }
 
+/// A uniform random level-`l` polynomial in evaluation form.
+fn random_eval_poly(f: &CkksFixture, l: usize, rng: &mut StdRng) -> RnsPoly {
+    let basis = f.ctx.level_basis(l).clone();
+    let mut flat = Vec::with_capacity(basis.len() * f.ctx.n());
+    for m in basis.moduli() {
+        flat.extend(sampler::uniform_residues(rng, m, f.ctx.n()));
+    }
+    RnsPoly::from_flat(basis, flat, Representation::Eval)
+}
+
+/// The single keyswitch and a `k = 3` coalesced batch under three
+/// distinct keys (the cross-tenant shape: the engine's per-job tails
+/// read different key rows within one batch).
 #[test]
 fn keyswitch_is_bit_identical_across_backends() {
     let f = test_shape();
     let l = f.ctx.params().max_level();
     let mut rng = StdRng::seed_from_u64(0x5EED0);
-    let basis = f.ctx.level_basis(l).clone();
-    let mut flat = Vec::with_capacity(basis.len() * f.ctx.n());
-    for m in basis.moduli() {
-        flat.extend(sampler::uniform_residues(&mut rng, m, f.ctx.n()));
-    }
-    let d = RnsPoly::from_flat(basis, flat, Representation::Eval);
+    let d = random_eval_poly(f, l, &mut rng);
+    let kg = KeyGenerator::new(f.ctx.clone());
+    let keys: Vec<SwitchingKey> = (0..3)
+        .map(|_| {
+            let sk = kg.secret_key(&mut rng);
+            kg.relin_key(&sk, &mut rng)
+        })
+        .collect();
+    let ds: Vec<RnsPoly> = (0..3).map(|_| random_eval_poly(f, l, &mut rng)).collect();
+    let jobs: Vec<KsJob<'_>> = ds
+        .iter()
+        .zip(&keys)
+        .map(|(d, key)| KsJob { d, key })
+        .collect();
 
     let results = under_each_backend(|| {
         let (ks0, ks1) = key_switch(&f.ctx, &d, &f.keys.relin, l);
         let mut out = ks0.flat().to_vec();
         out.extend_from_slice(ks1.flat());
+        for (c0, c1) in key_switch_coalesced(&f.ctx, &jobs, None, l) {
+            out.extend_from_slice(c0.flat());
+            out.extend_from_slice(c1.flat());
+        }
         out
     });
-    assert_all_identical(results, "ckks key_switch");
+    assert_all_identical(results, "ckks key_switch (single and k=3 coalesced)");
 }
 
 #[test]

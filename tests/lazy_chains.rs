@@ -26,8 +26,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use trinity::ckks::bootstrap::bootstrap_test_params;
 use trinity::ckks::{
-    key_switch, key_switch_per_kernel, key_switch_strict, CkksContext, CkksParams, Decryptor,
-    Encoder, Encryptor, Evaluator, KeyGenerator, KeySet, NoiseModel,
+    key_switch, key_switch_strict, CkksContext, CkksParams, Decryptor, Encoder, Encryptor,
+    Evaluator, KeyGenerator, KeySet, NoiseModel,
 };
 use trinity::math::{sampler, ReductionState, Representation, RnsPoly};
 use trinity::tfhe::{Ggsw, GlweCiphertext, GlweSecretKey, MulBackend, TfheParams, TfheRing};
@@ -104,7 +104,6 @@ proptest! {
                 let d = random_eval_poly(&f.ctx, level, &mut rng);
                 let (l0, l1) = key_switch(&f.ctx, &d, &f.keys.relin, level);
                 let (s0, s1) = key_switch_strict(&f.ctx, &d, &f.keys.relin, level);
-                let (h0, h1) = key_switch_per_kernel(&f.ctx, &d, &f.keys.relin, level);
                 prop_assert_eq!(
                     l0.flat(), s0.flat(),
                     "ks0 mismatch: shape={} level={} seed={}", name, level, seed
@@ -112,16 +111,6 @@ proptest! {
                 prop_assert_eq!(
                     l1.flat(), s1.flat(),
                     "ks1 mismatch: shape={} level={} seed={}", name, level, seed
-                );
-                // The per-kernel-canonicalising middle tier (the PR 2
-                // pipeline) agrees with both.
-                prop_assert_eq!(
-                    h0.flat(), s0.flat(),
-                    "per-kernel ks0 mismatch: shape={} level={} seed={}", name, level, seed
-                );
-                prop_assert_eq!(
-                    h1.flat(), s1.flat(),
-                    "per-kernel ks1 mismatch: shape={} level={} seed={}", name, level, seed
                 );
                 // The chain's outputs are canonical at the ciphertext
                 // boundary — never a leaked lazy window.
